@@ -7,12 +7,13 @@ again.  Generation runs in a child process (``python3 inputs.py KIND
 SEED``) so its time and memory never land in a workload's ``setup_s``
 or ``peak_rss_mb``.
 
-Artifacts (all keyed by seed and by a hash of ``src/repro``, so a
-changed program rebuilds what it produced):
+Artifacts (all keyed by seed and by a hash of ``src/repro`` and of this
+file, so a changed program or generator rebuilds what it produced):
 
 - ``corpus``: ``prop37_config(scale=1.0)`` corpus plus its lexicon.
 - ``graph``: ``synthesize_graph(num_users=80_000)``.
-- ``synthref``: the unsharded 10-sweep objective on that graph.
+- ``synthref``: the unsharded 10-sweep fit's final objective, and the
+  whole-graph objective of its factors.
 - ``serve``: a checkpoint of the default engine after the corpus's
   first 15 weeks, the request pools drawn from the remaining days, and
   the labels the restored service gives every pooled text.
@@ -51,10 +52,12 @@ PREPARE_TIMEOUT_S = 150
 
 
 def src_hash() -> str:
-    """Short hash of the program's source, so inputs track the code."""
+    """Short hash of the program's source and of this generator, so
+    inputs track the code that made them."""
     digest = hashlib.sha256()
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        digest.update(str(path.relative_to(SRC)).encode())
+    for path in [*sorted((SRC / "repro").rglob("*.py")), Path(__file__).resolve()]:
+        digest.update(path.name.encode() if path.parent == BENCH_DIR
+                      else str(path.relative_to(SRC)).encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:12]
 
@@ -150,13 +153,23 @@ def _make_graph(seed: int, tmp: Path) -> None:
         pickle.dump(graph, handle, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+def full_objective(graph, factors, weights) -> float:
+    """The whole-graph objective of ``factors``, as the offline solver evaluates it."""
+    from repro.core import compute_objective
+
+    return compute_objective(factors, graph.xp, graph.xu, graph.xr,
+                             graph.user_graph.laplacian, weights, sf_prior=graph.sf0).total
+
+
 def _make_synthref(seed: int, tmp: Path) -> None:
     from repro import OfflineTriClustering
 
     graph = load_pickle(artifact_path("graph", seed))
-    result = OfflineTriClustering(max_iterations=FIT_SWEEPS, seed=seed).fit(graph)
-    tmp.write_text(json.dumps({"objective": result.final_objective,
-                               "sweeps": result.iterations}))
+    solver = OfflineTriClustering(max_iterations=FIT_SWEEPS, seed=seed)
+    result = solver.fit(graph)
+    tmp.write_text(json.dumps({
+        "objective": result.final_objective, "sweeps": result.iterations,
+        "full_objective": full_objective(graph, result.factors, solver.weights)}))
 
 
 def daily_batches(corpus, first_day: int = 0, last_day: int | None = None):

@@ -57,7 +57,6 @@ PER_LAYER_UNITS = {
     "utils.executor.rounds_per_sweep": "count",
     "utils.executor.wait_s": "s",
     "utils.executor.exchange_s": "s",
-    "utils.executor.exchange_ms": "ms",
     "utils.executor.halo_bytes_per_sweep": "bytes",
     "utils.transport.bytes_per_sweep": "bytes",
     "utils.transport.send_s": "s",
@@ -72,22 +71,15 @@ PER_LAYER_UNITS = {
     "trace.overhead_pct": "%",
 }
 
-#: The workload-specific names the end-to-end metrics stand for.
-ALIASES = {
-    "stream_daily": {"latency_p50_ms": "snapshot_p50_ms", "latency_tail_ms": "snapshot_p90_ms"},
-    "serve_open": {"latency_p50_ms": "classify_p50_ms", "latency_tail_ms": "classify_p90_ms",
-                   "on_time_ratio": "classify_on_time_ratio"},
-    "fit_synth": {"latency_p50_ms": "fit_p50_ms"},
-    "fit_synth_sharded": {"latency_p50_ms": "fit_p50_ms"},
-}
-
-
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--record", type=int, choices=(0, 1), default=0,
+                        help="skip the comparison with results/expected.json "
+                             "(used by expected.py when recording)")
     return parser.parse_args(argv)
 
 
@@ -206,6 +198,7 @@ def main(argv=None) -> int:
               "checkout of the repository", file=sys.stderr)
         return 2
     sys.path.insert(0, str(SRC))
+    import expected
     import harness
     import inputs
     from workloads import WORKLOADS
@@ -240,14 +233,13 @@ def main(argv=None) -> int:
         workload.finish()
         metrics = end_to_end(workload)
     check_counters(workload, args.trace)
+    if not args.record:
+        expected.check(workload)
     log(f"tweet_acc {workload.tweet_acc:.6g} ratio")
     log(f"user_acc {workload.user_acc:.6g} ratio")
 
     for name, (value, unit) in metrics.items():
         log(f"{name} {value:.6g} {unit}")
-    for name, alias in ALIASES[args.workload].items():
-        if name in metrics:
-            log(f"{alias} {metrics[name][0]:.6g} {metrics[name][1]}")
     for message in workload.failures:
         log(f"failure: {message}")
     correct = all(workload.checks.values()) and workload.failed == 0
@@ -259,6 +251,7 @@ def main(argv=None) -> int:
         json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
                     "trace": args.trace, "host": host, "correct": correct,
                     "tweet_acc": workload.tweet_acc, "user_acc": workload.user_acc,
+                    "answers": workload.answers,
                     "checks": workload.checks, "failures": workload.failures,
                     "counters": workload.counters, "setup_samples_s": workload.setups,
                     "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}},

@@ -1,26 +1,35 @@
-"""Steadiness report: run workloads over many seeds, report the spread.
+"""Steadiness report: repeated sets of runs over the same seeds.
 
 Usage (from the repository root)::
 
-    python3 bench_e2e/steady.py --workloads stream_daily,serve_open --seeds 1-10 \\
+    python3 bench_e2e/steady.py --seeds 1-10 --repeats 2 \\
         --out bench_e2e/results/steadiness.json
 
-For every end-to-end metric of every workload it prints the median, the
-quartiles and IQR/median across the runs (one run per seed), next to
-the metric's bound from ``BENCHMARK.json``: a spread above the bound
-makes the benchmark unusable for that metric, and the aim is a spread
-below a third of it.  ``setup_s`` and the p50 latency get their own
-summary lines.  The host record is stored with the results.
+One set is one run of every workload per seed; ``--repeats`` sets run
+one after the other, each over the same seeds, so the sets are apart in
+time as two sets of a regression check are.  For every workload and
+end-to-end metric the report gives:
 
-``--compare FIRST.json SECOND.json`` compares two such reports: for
-each workload and metric, how much worse the second median is than the
-first, against the metric's bound.
+- per set: the median, the quartiles and IQR/median across the set's
+  runs, next to the metric's bound from ``BENCHMARK.json`` (a spread above
+  the bound makes the metric unusable; the aim is a third of it);
+- ``within_seed``: run-to-run noise on the same input, the median over
+  seeds of (max - min) / median of that seed's runs;
+- ``set_change``: how much worse each later set's median is than the
+  first set's, against the bound.
+
+``setup_s`` and ``latency_p50_ms`` are re-checked on their own lines.
+The host record is stored with the results.
+
+``--compare FIRST.json SECOND.json`` compares the first sets of two such
+reports in the same way.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 import time
@@ -56,6 +65,57 @@ def run_once(command: list[str], workload: str, seed: int, seconds: int) -> dict
     return result
 
 
+def worse_by(metric: dict, old: float, new: float) -> float:
+    """How much worse ``new`` is than ``old``, as a share of ``old``."""
+    change = (new - old) / old
+    return change if metric["better"] == "lower" else -change
+
+
+def within_seed(runs: list[dict], name: str) -> float:
+    """Median over seeds of (max - min) / median of one seed's runs."""
+    by_seed: dict[int, list[float]] = {}
+    for run in runs:
+        by_seed.setdefault(run["seed"], []).append(run["metrics"][name])
+    spreads = [(max(v) - min(v)) / statistics.median(v)
+               for v in by_seed.values() if len(v) >= 2 and statistics.median(v)]
+    return statistics.median(spreads) if spreads else 0.0
+
+
+def summarize(spec: dict, runs: list[dict], repeats: int) -> dict:
+    import harness
+
+    sets = []
+    for repeat in range(repeats):
+        chosen = [run for run in runs if run["repeat"] == repeat]
+        sets.append({m["name"]: harness.quartile_spread([r["metrics"][m["name"]] for r in chosen])
+                     for m in spec["end_to_end"]})
+    return {
+        "sets": sets,
+        "within_seed": {m["name"]: within_seed(runs, m["name"]) for m in spec["end_to_end"]},
+        "set_change": [{m["name"]: worse_by(m, sets[0][m["name"]]["median"],
+                                            later[m["name"]]["median"])
+                        for m in spec["end_to_end"]} for later in sets[1:]],
+    }
+
+
+def print_summary(spec: dict, workload: str, summary: dict) -> None:
+    for metric in spec["end_to_end"]:
+        name, bound = metric["name"], metric["bound"]
+        for index, stats in enumerate(set_[name] for set_ in summary["sets"]):
+            spread = stats["iqr_over_median"]
+            mark = "ok" if spread <= bound / 3 else "WIDE" if spread <= bound else "OVER BOUND"
+            print(f"  {workload:18s} {name:16s} set {index + 1} median {stats['median']:<11.6g} "
+                  f"q1 {stats['q1']:<11.6g} q3 {stats['q3']:<11.6g} IQR/median {spread:.4f} "
+                  f"(bound {bound}) {mark}", flush=True)
+        changes = " ".join(f"{change[name]:+.4f}" for change in summary["set_change"])
+        print(f"  {workload:18s} {name:16s} within-seed {summary['within_seed'][name]:.4f}"
+              + (f"  later sets worse by {changes} (bound {bound})" if changes else ""),
+              flush=True)
+    for name in ("setup_s", "latency_p50_ms"):
+        spreads = ", ".join(f"{s[name]['iqr_over_median']:.4f}" for s in summary["sets"])
+        print(f"  re-check {workload}/{name}: IQR/median per set {spreads}")
+
+
 def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(BENCH_DIR))
@@ -65,40 +125,33 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
     parser.add_argument("--seeds", default="1-10")
+    parser.add_argument("--repeats", type=int, default=2)
     parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     parser.add_argument("--out", type=Path)
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("FIRST", "SECOND"))
     args = parser.parse_args(argv)
 
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     if args.compare:
         return compare(spec, *args.compare)
-    report = {"host": harness.host_record(), "seconds": args.seconds, "workloads": {}}
+    workloads = args.workloads.split(",")
+    report = {"host": harness.host_record(), "seconds": args.seconds,
+              "repeats": args.repeats, "workloads": {w: {"runs": []} for w in workloads}}
     print("host: " + json.dumps(report["host"], sort_keys=True), flush=True)
-    for workload in args.workloads.split(","):
-        runs = []
-        for seed in seed_list(args.seeds):
-            result = run_once(spec["command"], workload, seed, args.seconds)
-            runs.append({"seed": seed, "elapsed_s": result["elapsed_s"],
-                         "correct": result["correct"],
-                         "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
-            print(f"{workload} seed {seed}: {result['elapsed_s']:.1f} s  " + "  ".join(
-                f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()), flush=True)
-        summary = {}
-        for name, bound in bounds.items():
-            stats = harness.quartile_spread([run["metrics"][name] for run in runs])
-            stats["bound"] = bound
-            summary[name] = stats
-            mark = ("ok" if stats["iqr_over_median"] <= bound / 3 else
-                    "WIDE" if stats["iqr_over_median"] <= bound else "OVER BOUND")
-            print(f"  {workload:18s} {name:16s} median {stats['median']:<12.6g} "
-                  f"q1 {stats['q1']:<12.6g} q3 {stats['q3']:<12.6g} "
-                  f"IQR/median {stats['iqr_over_median']:.4f} (bound {bound}) {mark}",
-                  flush=True)
-        for name in ("setup_s", "latency_p50_ms"):
-            print(f"  re-check {workload}/{name}: IQR/median "
-                  f"{summary[name]['iqr_over_median']:.4f} vs bound {bounds[name]}")
-        report["workloads"][workload] = {"runs": runs, "summary": summary}
+    for repeat in range(args.repeats):
+        for workload in workloads:
+            for seed in seed_list(args.seeds):
+                result = run_once(spec["command"], workload, seed, args.seconds)
+                report["workloads"][workload]["runs"].append({
+                    "seed": seed, "repeat": repeat, "elapsed_s": result["elapsed_s"],
+                    "correct": result["correct"],
+                    "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
+                print(f"set {repeat + 1} {workload} seed {seed}: {result['elapsed_s']:.1f} s  "
+                      + "  ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()),
+                      flush=True)
+    for workload in workloads:
+        entry = report["workloads"][workload]
+        entry.update(summarize(spec, entry["runs"], args.repeats))
+        print_summary(spec, workload, entry)
     if args.out:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
@@ -106,20 +159,19 @@ def main(argv=None) -> int:
 
 
 def compare(spec: dict, first: Path, second: Path) -> int:
-    """Second report's medians vs the first's; 1 if any is worse by more than its bound."""
+    """Second report's first-set medians vs the first's; 1 if any is worse than its bound."""
     a, b = (json.loads(path.read_text())["workloads"] for path in (first, second))
-    worse_than_bound = False
+    over = False
     for workload in a:
         for metric in spec["end_to_end"]:
             name, bound = metric["name"], metric["bound"]
-            old = a[workload]["summary"][name]["median"]
-            new = b[workload]["summary"][name]["median"]
-            change = (new - old) / old
-            worse = change if metric["better"] == "lower" else -change
-            worse_than_bound |= worse > bound
+            old = a[workload]["sets"][0][name]["median"]
+            new = b[workload]["sets"][0][name]["median"]
+            worse = worse_by(metric, old, new)
+            over |= worse > bound
             print(f"{workload:18s} {name:16s} {old:<12.6g} -> {new:<12.6g} worse by "
                   f"{worse:+.4f} (bound {bound}) {'OVER BOUND' if worse > bound else 'ok'}")
-    return 1 if worse_than_bound else 0
+    return 1 if over else 0
 
 
 if __name__ == "__main__":

@@ -110,17 +110,12 @@ TARGETS = [
     *[("repro.core.updates", name, "core.updates.ms", False, None) for name in _UPDATES],
     ("repro.core.inference", "infer_tweet_memberships", "core.inference.fold_in_ms", False,
      _count_fold_in),
-    # sharding: partition + block extraction, coordinator, merge, exchange
+    # sharding: partition + block extraction, coordinator, merge
     ("repro.graph.partition", "make_partition", "graph.partition.extract_ms", False, None),
     ("repro.graph.partition", "extract_shard_blocks", "graph.partition.extract_ms", False, None),
     ("repro.core.sharded", "ShardedTriClustering.fit", "core.sharded.fit_ms", False, _count_sharded),
     ("repro.core.sharded", "ShardedSolver.solve_offline", "core.sharded.solve_ms", False, None),
     ("repro.core.sharded", "ShardedSolver.merged_factors", "core.sharded.merge_ms", False, None),
-    ("repro.utils.executor", "WorkerPool.map", "utils.executor.exchange_ms", True, None),
-    ("repro.utils.executor", "WorkerPool.scatter", "utils.executor.exchange_ms", True, None),
-    ("repro.utils.executor", "WorkerPool.run_resident", "utils.executor.exchange_ms", True, None),
-    ("repro.utils.executor", "WorkerPool.discard_resident", "utils.executor.exchange_ms", True,
-     None),
 ]
 
 #: Every span key a traced run reports (``_ms`` self times).

@@ -12,7 +12,9 @@ A workload object owns its loaded inputs and exposes:
 
 Every operation is timed on its own (``latencies``) and checked; a
 failed or wrong operation counts in ``failed``.  End-of-run checks go
-into ``checks``; any failed check makes the run incorrect.
+into ``checks``; any failed check makes the run incorrect.  ``finish()``
+fills ``answers``: the values :mod:`expected` compares with the ones
+recorded for the seed.
 """
 
 from __future__ import annotations
@@ -26,44 +28,33 @@ import numpy as np
 import harness
 import inputs
 
-#: Latency limits for ``on_time_ratio``, per operation.
+#: Latency limits for ``on_time_ratio``, per operation: several times the
+#: measured tails (snapshot p90 ~0.1 s, classify p90 ~3 ms and p99
+#: ~10 ms, slowest warm fit ~2 s), so the ratio moves only on a large
+#: regression.
 SNAPSHOT_LIMIT_S = 1.0
 CLASSIFY_LIMIT_S = 0.025
-FIT_LIMIT_S = 10.0
+FIT_LIMIT_S = 5.0
 
 #: stream_daily replays one whole pass over the stream per this many
-#: seconds of ``--seconds`` (a pass takes about that long here), so the
+#: seconds of ``--seconds`` (rounded; a pass takes 8-11 s here), so the
 #: work, and with it peak memory, does not depend on the program's speed.
-STREAM_PASS_SECONDS = 10.0
-#: stream_daily also sets up (and closes) a fresh engine after every this
-#: many snapshots, outside their timing, so ``setup_s`` samples the host
-#: across the whole run like the snapshot metrics do.
-STREAM_SETUP_EVERY = 6
+STREAM_PASS_SECONDS = 7.5
 
 #: serve_open traffic: requests per second; a share of requests made of
 #: hot (retweet-like, cached after first use) texts, the rest carrying a
 #: batch of fresh texts.  Latency is bimodal (cache hits vs fold-in), so
 #: the shares keep the p50 inside the hit mode and the p90 inside the
-#: fresh-text mode, never on the edge between them.
-SERVE_RATE = 200.0
+#: fresh-text mode, never on the edge between them.  The gap between
+#: requests (10 ms) is about 3x a fresh-text request, so a slow minute
+#: on the host does not make requests queue behind each other.
+SERVE_RATE = 100.0
 SERVE_HOT_SHARE = 0.8
 SERVE_HOT_TEXTS = 4
 SERVE_COLD_TEXTS = 16
 #: The generator sleeps until this close to a request's due time, then
 #: spins, so its own wake-up jitter stays out of the latencies.
 SPIN_S = 0.001
-
-#: Accuracy floors (ratios) checked at the end of each run.
-STREAM_TWEET_ACC_FLOOR = 0.20
-STREAM_USER_ACC_FLOOR = 0.05
-SERVE_TWEET_ACC_FLOOR = 0.10
-SERVE_USER_ACC_FLOOR = 0.05
-SYNTH_TWEET_ACC_FLOOR = 0.95
-SYNTH_USER_ACC_FLOOR = 0.85
-#: Sharded vs unsharded objective after the same sweeps.  A sanity
-#: bound (a diverged or broken solve), not the "same answer at any shard
-#: count" goal: see README.md for the spread measured across seeds.
-OBJECTIVE_GAP_BOUND = 10.0
 
 #: Fits per phase of a traced run.
 TRACE_FITS = 3
@@ -85,6 +76,7 @@ class Workload:
         self.checks: dict[str, bool] = {}
         self.counters: dict[str, object] = {}  # deterministic, must repeat
         self.layer: dict[str, tuple[float, str]] = {}  # per-layer extras
+        self.answers: dict[str, float] = {}  # compared with results/expected.json
         self.tracer = None
         self.limit_s = 1.0
 
@@ -164,7 +156,7 @@ class StreamDaily(Workload):
     """The online path: ingest one day, advance a snapshot, 122 days."""
 
     name = "stream_daily"
-    setup_reps = 2  # plus one every STREAM_SETUP_EVERY snapshots
+    setup_reps = 20
 
     def __init__(self, seed, log):
         super().__init__(seed, log)
@@ -221,8 +213,6 @@ class StreamDaily(Workload):
             mask = truth >= 0
             correct += int((labels[mask] == truth[mask]).sum())
             labeled += int(mask.sum())
-            if index % STREAM_SETUP_EVERY == 0:
-                self.close(self.timed_setup())
         users = engine.user_sentiments()
         uids = [uid for uid in users if self.user_truth.get(uid, -1) >= 0]
         user_acc = _accuracy([users[u] for u in uids], [self.user_truth[u] for u in uids])
@@ -237,10 +227,8 @@ class StreamDaily(Workload):
                    str(self.pass_records))
         self.tweet_acc, self.user_acc, sweeps, snapshots = first
         self.counters = {"snapshots_per_pass": snapshots, "sweeps_per_pass": sweeps}
-        self.check("tweet_acc_floor", self.tweet_acc >= STREAM_TWEET_ACC_FLOOR,
-                   f"{self.tweet_acc:.4f}")
-        self.check("user_acc_floor", self.user_acc >= STREAM_USER_ACC_FLOOR,
-                   f"{self.user_acc:.4f}")
+        self.answers = {"tweet_acc": self.tweet_acc, "user_acc": self.user_acc,
+                        "snapshots_per_pass": snapshots, "sweeps_per_pass": sweeps}
         self.check("no_drops", self.dropped == 0, f"{self.dropped} dropped")
         self.layer["engine.pipeline.dropped"] = (self.dropped, "count")
         self.log(f"{len(self.pass_records)} pass(es) of {snapshots} snapshots, "
@@ -281,7 +269,6 @@ class ServeOpen(Workload):
         self.truth, self.reference = pools["truth"], pools["reference"]
         self.user_truth = {int(uid): label for uid, label in pools["user_truth"].items()}
         self.limit_s = CLASSIFY_LIMIT_S
-        self.served: dict[str, int] = {}
         self.lags: list[float] = []
         self.user_accs: list[float] = []
         self.lookups = [0, 0]  # cache hits, misses over timed phases
@@ -322,14 +309,12 @@ class ServeOpen(Workload):
             while time.perf_counter() < due:
                 pass
             self.lags.append(max(0.0, time.perf_counter() - due))
-            ok, result = self._classify(service, f"request-{index}", texts)
-            # Open loop: latency counts from when the request was due.
+            self._classify(service, f"request-{index}", texts)
+            # Open loop: latency counts from when the request was due;
+            # throughput counts the service's own time.
+            self.busy += self.latencies[-1]
             self.latencies[-1] = time.perf_counter() - due
             self.units += len(texts)
-            if ok:
-                for text, label in zip(texts, result.labels):
-                    self.served[text] = label
-        self.busy += time.perf_counter() - origin
         self.lookups[0] += cache.hits - hits
         self.lookups[1] += cache.misses - misses
         return service
@@ -338,19 +323,17 @@ class ServeOpen(Workload):
         ok, result = self.timed_op(request, lambda: service.classify(texts))
         if ok and list(result.labels) != [self.reference[base_text(text)] for text in texts]:
             self.fail(f"{request}: labels differ from the reference labels")
-            return False, result
-        return ok, result
 
     def finish(self):
-        texts = sorted(self.served)
-        self.tweet_acc = _accuracy([self.served[t] for t in texts],
-                                   [self.truth[base_text(t)] for t in texts])
+        # Every served label was checked equal to the reference label, so
+        # the reference labels of the whole pool stand for the answers;
+        # unlike the served subset they do not depend on the run's length.
+        texts = self.hot + self.cold
+        self.tweet_acc = _accuracy([self.reference[t] for t in texts],
+                                   [self.truth[t] for t in texts])
         self.user_acc = self.user_accs[0]
         self.check("user_acc_repeats", all(a == self.user_acc for a in self.user_accs))
-        self.check("tweet_acc_floor", self.tweet_acc >= SERVE_TWEET_ACC_FLOOR,
-                   f"{self.tweet_acc:.4f}")
-        self.check("user_acc_floor", self.user_acc >= SERVE_USER_ACC_FLOOR,
-                   f"{self.user_acc:.4f}")
+        self.answers = {"tweet_acc": self.tweet_acc, "user_acc": self.user_acc}
         hits, misses = self.lookups
         self.layer["engine.cache.hit_ratio"] = (hits / max(1, hits + misses), "ratio")
         lags = sorted(self.lags)
@@ -458,13 +441,11 @@ class FitSynth(Workload):
         result = self.first_result
         self.tweet_acc = clustering_accuracy(result.tweet_sentiments(), self.tweet_truth)
         self.user_acc = clustering_accuracy(result.user_sentiments(), self.user_truth)
-        self.check("tweet_acc_floor", self.tweet_acc >= SYNTH_TWEET_ACC_FLOOR,
-                   f"{self.tweet_acc:.4f}")
-        self.check("user_acc_floor", self.user_acc >= SYNTH_USER_ACC_FLOOR,
-                   f"{self.user_acc:.4f}")
         self.check("objective_repeats", len(self.objectives) <= 1, str(self.objectives))
         self.counters = {"sweeps_per_fit": inputs.FIT_SWEEPS,
                          "objective": repr(next(iter(self.objectives), None))}
+        self.answers = {"tweet_acc": self.tweet_acc, "user_acc": self.user_acc,
+                        "sweeps": result.iterations, "objective": result.final_objective}
         self.log(f"{len(self.latencies)} timed fits of "
                  f"{inputs.FIT_SWEEPS} sweeps on {self.graph.num_users} users / "
                  f"{self.graph.num_tweets} tweets / Xp nnz {self.graph.xp.nnz}")
@@ -488,6 +469,7 @@ class FitSynthSharded(FitSynth):
         fleet = LocalWorkerFleet(2)
         try:
             solver = self.make_solver(fleet)
+            self.weights = solver.weights
             self.first_result = solver.fit(self.graph)
             self.objectives.add(self.first_result.final_objective)
         except BaseException:
@@ -509,7 +491,7 @@ class FitSynthSharded(FitSynth):
         return handle[1]
 
     def expected_objective(self) -> float:
-        return min(self.objectives)  # every fit must repeat the first one
+        return self.first_result.final_objective  # every fit repeats the warm-up's
 
     def after_fit(self, solver, result):
         super().after_fit(solver, result)
@@ -527,11 +509,16 @@ class FitSynthSharded(FitSynth):
         self.check("exchange_counters_repeat", all(len(v) == 1 for v in per_fit.values()),
                    str(per_fit))
         self.counters.update({key: values[0] for key, values in per_fit.items()})
-        objective = next(iter(self.objectives))
-        reference = self.reference["objective"]
+        # The fits' own objective is summed over per-shard blocks; compare
+        # the whole-graph objective of the merged factors instead, with the
+        # unsharded fit's, evaluated the same way.
+        objective = inputs.full_objective(self.graph, self.first_result.factors,
+                                          self.weights)
+        reference = self.reference["full_objective"]
         gap = abs(objective - reference) / abs(reference)
-        self.check("objective_gap_bound", math.isfinite(gap) and gap <= OBJECTIVE_GAP_BOUND,
-                   f"{gap:.4g}")
+        self.check("objective_gap_finite", math.isfinite(gap), f"{gap!r}")
+        self.answers.update({"full_objective": objective, "reference_objective": reference,
+                             "objective_rel_gap": gap})
         sweeps = inputs.FIT_SWEEPS
         first = self.telemetry[0]
         mean = lambda key: sum(t[key] for t in self.telemetry) / len(self.telemetry)
